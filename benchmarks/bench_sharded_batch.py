@@ -1,43 +1,40 @@
-"""Sharded + cached batch serving benchmark vs. the serial engine path.
+"""Sharded batch serving benchmark vs. the planned serial service.
 
-Models the paper's Table-4-style serving scenario: the same batch of popular
-query vertices is answered repeatedly (applications re-query every refresh).
-Three execution paths answer the identical workload:
-
-* **serial** — one :class:`repro.engine.QueryEngine`, every query answered
-  in-process, every round recomputed (the pre-service state of the art);
-* **sharded** — :class:`repro.service.ShardedExecutor` with a process pool,
-  batches partitioned by k-ĉore component, no answer cache;
-* **service** — :class:`repro.service.SACService` with the pool *and* the
-  persistent answer cache, so repeat rounds are served from cache.
-
-All three must return bit-identical results (member sets, circle floats,
-stats) — the benchmark exits non-zero if they ever diverge.  Throughput is
-reported per path; the headline ``service`` speedup comes from sharding on
-multi-core machines plus cache hits on repeat rounds, and the benchmark
-prints whether the ≥2× target over the serial path was met.
+Measures what ``--workers`` chooses between: the same uncached
+:meth:`repro.service.SACService.submit_batch` answered by a planned serial
+service (``workers=None``) and by a sharded one (``workers=N``, a process
+pool over the plan's component groups).  Both services are warmed on the
+batch before timing, so the steady-state rounds time query answering only;
+rounds alternate between the two sides so host-speed drift hits both.  The
+sharded service's first round — which forks the pool, publishes the
+shared-memory segments and attaches them in the workers — is reported
+separately as ``pool_startup_ms``.  Answers must be bit-identical on every
+round; the benchmark exits non-zero when they diverge.
 
 An **overlap sweep** mode (``--overlap-sweep``) measures the factorised
 batch planner instead: the same base queries are duplicated 1×/2×/4×/8× and
-answered through ``QueryEngine.search_many`` with the plan on and off.  The
-per-query path pays every duplicate; the planner answers each distinct query
-once and shares each ``(component, k)`` group's candidate artifacts and
-distance matrix, so its per-query cost drops superlinearly with overlap
-(speedup at factor *f* exceeds *f*).  The sweep re-checks bit-identity
-across the planned, per-query, sharded, and cached paths and exits non-zero
-when answers diverge or the plan's factorisation counters stay zero.
+answered through ``QueryEngine.search_many`` and through the per-query
+oracle (:func:`repro.testing.oracles.search_many`).  The per-query loop
+pays every duplicate; the planner answers each distinct query once and
+shares each ``(component, k)`` group's candidate artifacts and distance
+matrix, so its per-query cost drops superlinearly with overlap (speedup at
+factor *f* exceeds *f*).  The sweep re-checks bit-identity across the
+planned, per-query, sharded, and cached paths and exits non-zero when
+answers diverge or the plan's factorisation counters stay zero.
 
 Run standalone::
 
     python benchmarks/bench_sharded_batch.py                 # full workload
     python benchmarks/bench_sharded_batch.py --quick         # CI smoke
-    python benchmarks/bench_sharded_batch.py --workers 4 --rounds 4
+    python benchmarks/bench_sharded_batch.py --workers 2 --rounds 9
     python benchmarks/bench_sharded_batch.py --quick --overlap-sweep
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,6 +48,7 @@ from repro.datasets.registry import load_dataset
 from repro.engine import QueryEngine
 from repro.experiments.queries import select_query_vertices
 from repro.service import SACService, ShardedExecutor
+from repro.testing import oracles
 
 
 def _identical(first, second) -> bool:
@@ -64,53 +62,54 @@ def _identical(first, second) -> bool:
     )
 
 
-def _time_serial(graph, queries, k, rounds, epsilon_f):
-    """Serial engine path: recompute every query every round."""
-    engine = QueryEngine(graph)
-    results = {}
+def _batches_identical(first, second) -> bool:
+    """Two batch results answered the same queries with identical answers."""
+    return set(first.results) == set(second.results) and all(
+        _identical(first.results[q], second.results[q]) for q in first.results
+    )
+
+
+def _timed(service, queries, k, epsilon_f):
+    """One uncached round: ``(batch, seconds)``."""
     start = time.perf_counter()
-    for _ in range(rounds):
-        for query in queries:
-            results[query] = engine.search(
-                query, k, algorithm="appfast", epsilon_f=epsilon_f
-            )
-    return results, time.perf_counter() - start
+    batch = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
+    return batch, time.perf_counter() - start
 
 
-def _time_sharded(graph, queries, k, rounds, epsilon_f, workers):
-    """Sharded pool path, cache off: every round pays the pool."""
-    executor = ShardedExecutor(QueryEngine(graph), workers=workers)
-    results = {}
-    start = time.perf_counter()
-    for _ in range(rounds):
-        batch = executor.run(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
-        results.update(batch.results)
-    elapsed = time.perf_counter() - start
-    executor.close()
-    return results, elapsed, executor.stats
-
-
-def _time_service(graph, queries, k, rounds, epsilon_f, workers):
-    """Full serving layer: pool + persistent answer cache across rounds."""
-    service = SACService(graph, workers=workers)
-    results = {}
-    cache_hits = 0
-    start = time.perf_counter()
-    for _ in range(rounds):
-        batch = service.submit_batch(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
-        results.update(batch.results)
-        cache_hits += batch.cache_hits
-    elapsed = time.perf_counter() - start
-    service.close()
-    return results, elapsed, cache_hits
+def _measure_dataset(graph, queries, k, epsilon_f, rounds, workers):
+    """Alternate serial and sharded rounds; returns timings and identity."""
+    serial = SACService(graph, use_cache=False)
+    sharded = SACService(graph, workers=workers, use_cache=False)
+    try:
+        # Warm-up, untimed: labelling and bundle builds on both engines.
+        reference, _ = _timed(serial, queries, k, epsilon_f)
+        sharded.engine.search_many(queries, k, algorithm="appfast", epsilon_f=epsilon_f)
+        first, startup = _timed(sharded, queries, k, epsilon_f)
+        identical = _batches_identical(reference, first)
+        serial_times, sharded_times = [], []
+        for round_index in range(rounds):
+            sides = [(serial, serial_times), (sharded, sharded_times)]
+            for service, times in sides if round_index % 2 == 0 else sides[::-1]:
+                batch, seconds = _timed(service, queries, k, epsilon_f)
+                times.append(seconds)
+                identical &= _batches_identical(reference, batch)
+        stats = sharded.stats().executor
+    finally:
+        serial.close()
+        sharded.close()
+    return {
+        "serial": statistics.median(serial_times),
+        "sharded": statistics.median(sharded_times),
+        "startup": startup,
+        "fallbacks": stats.serial_fallbacks,
+        "identical": identical,
+    }
 
 
 def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, rounds, workers):
-    """Time the three paths per dataset; returns ``(rows, all_identical)``."""
+    """Time planned-serial vs sharded per dataset; returns ``(rows, all_identical)``."""
     rows = []
     identical = True
-    totals = {"queries": 0, "serial": 0.0, "sharded": 0.0, "service": 0.0}
-
     for name in dataset_names:
         graph = load_dataset(name, scale=scale)
         queries = select_query_vertices(
@@ -119,56 +118,19 @@ def run_benchmark(dataset_names, *, scale, queries_per_dataset, k, epsilon_f, ro
         if not queries:
             print(f"  {name}: no queries with core number >= {k}, skipped")
             continue
-        total_queries = len(queries) * rounds
-
-        serial_results, serial_time = _time_serial(graph, queries, k, rounds, epsilon_f)
-        sharded_results, sharded_time, _stats = _time_sharded(
-            graph, queries, k, rounds, epsilon_f, workers
-        )
-        service_results, service_time, cache_hits = _time_service(
-            graph, queries, k, rounds, epsilon_f, workers
-        )
-
-        matches = set(serial_results) == set(sharded_results) == set(service_results)
-        if matches:
-            matches = all(
-                _identical(serial_results[q], sharded_results[q])
-                and _identical(serial_results[q], service_results[q])
-                for q in serial_results
-            )
-        identical &= matches
-        totals["queries"] += total_queries
-        totals["serial"] += serial_time
-        totals["sharded"] += sharded_time
-        totals["service"] += service_time
+        measured = _measure_dataset(graph, queries, k, epsilon_f, rounds, workers)
+        identical &= measured["identical"]
         rows.append(
             {
                 "dataset": name,
                 "vertices": graph.num_vertices,
-                "queries": total_queries,
-                "serial_qps": round(total_queries / serial_time, 2),
-                "sharded_qps": round(total_queries / sharded_time, 2),
-                "service_qps": round(total_queries / service_time, 2),
-                "sharded_speedup": round(serial_time / sharded_time, 2),
-                "service_speedup": round(serial_time / service_time, 2),
-                "cache_hits": cache_hits,
-                "identical": matches,
-            }
-        )
-
-    if totals["service"] > 0:
-        rows.append(
-            {
-                "dataset": "OVERALL",
-                "vertices": "",
-                "queries": totals["queries"],
-                "serial_qps": round(totals["queries"] / totals["serial"], 2),
-                "sharded_qps": round(totals["queries"] / totals["sharded"], 2),
-                "service_qps": round(totals["queries"] / totals["service"], 2),
-                "sharded_speedup": round(totals["serial"] / totals["sharded"], 2),
-                "service_speedup": round(totals["serial"] / totals["service"], 2),
-                "cache_hits": "",
-                "identical": identical,
+                "queries": len(queries),
+                "serial_ms": round(measured["serial"] * 1000.0, 2),
+                "sharded_ms": round(measured["sharded"] * 1000.0, 2),
+                "sharded_speedup": round(measured["serial"] / measured["sharded"], 2),
+                "pool_startup_ms": round(measured["startup"] * 1000.0, 2),
+                "fallbacks": measured["fallbacks"],
+                "identical": measured["identical"],
             }
         )
     return rows, identical
@@ -214,9 +176,7 @@ def run_overlap_sweep(
     # Warm both engines on the base batch so the sweep times query
     # answering, not the one-off core decomposition and bundle builds.
     planned_engine.search_many(base, k, algorithm="appfast", epsilon_f=epsilon_f)
-    serial_engine.search_many(
-        base, k, algorithm="appfast", plan=False, epsilon_f=epsilon_f
-    )
+    oracles.search_many(serial_engine, base, k, algorithm="appfast", epsilon_f=epsilon_f)
     executor = ShardedExecutor(QueryEngine(graph), workers=workers)
     service = SACService(graph, workers=workers)
 
@@ -233,8 +193,8 @@ def run_overlap_sweep(
         planned_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        serial = serial_engine.search_many(
-            batch, k, algorithm="appfast", plan=False, epsilon_f=epsilon_f
+        serial = oracles.search_many(
+            serial_engine, batch, k, algorithm="appfast", epsilon_f=epsilon_f
         )
         serial_time = time.perf_counter() - start
 
@@ -283,7 +243,7 @@ def main(argv=None) -> int:
         "--overlap-sweep",
         action="store_true",
         help="sweep batch-overlap factors through the factorised planner "
-        "instead of running the three-path serving benchmark",
+        "instead of running the serial-vs-sharded serving benchmark",
     )
     parser.add_argument(
         "--overlap-factors",
@@ -298,8 +258,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--scale", type=float, default=None, help="dataset scale multiplier")
     parser.add_argument("--queries", type=int, default=None, help="queries per batch")
-    parser.add_argument("--rounds", type=int, default=None, help="repeat rounds per batch")
-    parser.add_argument("--workers", type=int, default=4, help="process-pool size")
+    parser.add_argument(
+        "--rounds", type=int, default=None, help="timed rounds per side (median reported)"
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=os.cpu_count() or 2,
+        help="process-pool size (default: the host's CPU count)",
+    )
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--epsilon-f", type=float, default=0.5)
     parser.add_argument(
@@ -309,9 +276,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scale = args.scale if args.scale is not None else (0.5 if args.quick else 2.0)
-    queries = args.queries if args.queries is not None else (16 if args.quick else 48)
-    rounds = args.rounds if args.rounds is not None else (3 if args.quick else 4)
+    scale = args.scale if args.scale is not None else (0.5 if args.quick else 1.0)
+    queries = args.queries if args.queries is not None else (16 if args.quick else 32)
+    rounds = args.rounds if args.rounds is not None else (5 if args.quick else 9)
     names = [name.strip() for name in args.datasets.split(",") if name.strip()]
 
     if args.overlap_sweep:
@@ -383,19 +350,18 @@ def main(argv=None) -> int:
     )
     write_result(
         "sharded_batch",
-        "Serving-layer batch throughput (serial vs sharded vs cached service)",
+        "Uncached batch latency: planned serial vs sharded service (median round)",
         rows,
+        extra={"workers": args.workers, "rounds": rounds},
     )
     if not identical:
         print("FAIL: execution paths returned diverging results", file=sys.stderr)
         return 1
-    overall = next((r for r in rows if r["dataset"] == "OVERALL"), None)
-    if overall is not None:
-        target = "met" if overall["service_speedup"] >= 2.0 else "NOT met (machine-dependent)"
+    for row in rows:
         print(
-            f"overall: sharded {overall['sharded_speedup']}x, "
-            f"service {overall['service_speedup']}x vs serial "
-            f"({overall['service_qps']} q/s) — >=2x target {target}"
+            f"{row['dataset']}: sharded {row['sharded_speedup']}x vs planned serial "
+            f"at {args.workers} workers (steady state; pool start-up "
+            f"{row['pool_startup_ms']} ms, {row['fallbacks']} fallbacks)"
         )
     return 0
 

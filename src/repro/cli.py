@@ -9,7 +9,7 @@ Three subcommands cover the common workflows of a downstream user:
 ``query``
     Load a graph (``.npz``) and run one SAC query with any of the algorithms,
     printing the member list and the covering circle.  Served through the
-    shared-preprocessing engine unless ``--no-engine`` is given.
+    shared-preprocessing engine.
 
 ``batch``
     Run many SAC queries through the :class:`repro.engine.QueryEngine`-backed
@@ -25,9 +25,9 @@ Three subcommands cover the common workflows of a downstream user:
 ``track``
     Replay a check-in stream (from a file, or synthesised on the fly) and
     re-run SAC search for tracked users at each of their check-ins — the
-    paper's dynamic scenario (Figure 13).  Served through the
-    :class:`repro.engine.IncrementalEngine` unless ``--no-incremental`` is
-    given, in which case every tracked check-in rebuilds all per-graph state.
+    paper's dynamic scenario (Figure 13).  Served through one
+    :class:`repro.engine.IncrementalEngine` that absorbs every check-in in
+    place.
 
 ``snapshot``
     Build every per-graph artifact (core decomposition, k-ĉore labellings,
@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     query.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    query.add_argument(
-        "--no-engine",
-        action="store_true",
-        help="rebuild all per-graph state for the query instead of using the shared engine",
-    )
 
     snapshot = subparsers.add_parser(
         "snapshot",
@@ -149,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     batch.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
-    batch.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
-    )
     _add_resident_budget_argument(batch)
 
     serve = subparsers.add_parser(
@@ -199,18 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the answer cache (every round recomputes)",
-    )
-    serve.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="dispatch shards by re-pickling arrays every batch instead of "
-        "publishing shared-memory segments once",
-    )
-    serve.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
     )
     serve.add_argument(
         "--deadline-ms",
@@ -280,18 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the answer cache (every query recomputes)",
-    )
-    daemon.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="dispatch shards by re-pickling arrays every batch instead of "
-        "publishing shared-memory segments once",
-    )
-    daemon.add_argument(
-        "--no-plan",
-        action="store_true",
-        help="answer batch queries one by one instead of through the "
-        "factorised batch plan",
     )
     daemon.add_argument(
         "--static",
@@ -434,12 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--epsilon-f", type=float, default=0.5, help="AppFast slack")
     track.add_argument("--epsilon-a", type=float, default=0.5, help="AppAcc / Exact+ accuracy")
     track.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="rebuild all per-graph state at every tracked check-in instead of "
-        "repairing one incremental engine in place",
-    )
-    track.add_argument(
         "--generate-users",
         type=int,
         default=500,
@@ -562,11 +521,7 @@ def _algorithm_params(args: argparse.Namespace) -> dict:
 
 def _command_query(args: argparse.Namespace) -> int:
     graph = load_graph_npz(args.graph)
-    searcher = SACSearcher(
-        graph,
-        default_algorithm=args.algorithm,
-        share_preprocessing=not args.no_engine,
-    )
+    searcher = SACSearcher(graph, default_algorithm=args.algorithm)
     params = _algorithm_params(args)
     result = searcher.search(args.vertex, args.k, algorithm=args.algorithm, **params)
     if result is None:
@@ -612,7 +567,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         algorithm_params=_algorithm_params(args),
         engine=engine,
-        use_plan=not args.no_plan,
     )
     queries = _batch_queries(args, graph)
     batch = processor.run(queries)
@@ -650,11 +604,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
     engine = _load_engine(args, QueryEngine)
     graph = engine.graph
     service = SACService(
-        engine=engine,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        use_shared_memory=not args.no_shared_memory,
-        use_plan=not args.no_plan,
+        engine=engine, workers=args.workers, use_cache=not args.no_cache
     )
     queries = _batch_queries(args, graph)
     params = _algorithm_params(args)
@@ -708,8 +658,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         f"dispatch       : {stats.executor.segments_created} segments created "
         f"({stats.executor.bytes_shared} B shared once), "
         f"{stats.executor.segments_reused} reuses, "
-        f"{stats.executor.bytes_dispatched} B task messages, "
-        f"{stats.executor.bytes_pickled} B pickled payloads"
+        f"{stats.executor.bytes_dispatched} B task messages"
     )
     if stats.cache is not None:
         print(
@@ -730,13 +679,12 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         f"{stats.engine.bundles_evicted} evicted, "
         f"{residency['pinned_dirty']} pinned dirty"
     )
-    if not args.no_plan:
-        print(
-            f"plan           : {stats.engine.batches_planned} batches planned, "
-            f"{stats.engine.plan_groups} groups, "
-            f"{stats.engine.queries_deduped} deduped, "
-            f"{stats.engine.queries_factorised} factorised"
-        )
+    print(
+        f"plan           : {stats.engine.batches_planned} batches planned, "
+        f"{stats.engine.plan_groups} groups, "
+        f"{stats.engine.queries_deduped} deduped, "
+        f"{stats.engine.queries_factorised} factorised"
+    )
     return 0 if answered else 1
 
 
@@ -803,11 +751,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     engine_cls = QueryEngine if args.static else IncrementalEngine
     engine = _load_engine(args, engine_cls)
     service = SACService(
-        engine=engine,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        use_shared_memory=not args.no_shared_memory,
-        use_plan=not args.no_plan,
+        engine=engine, workers=args.workers, use_cache=not args.no_cache
     )
     if args.store is not None:
         service.store_path = str(args.store)
@@ -943,27 +887,24 @@ def _command_track(args: argparse.Namespace) -> int:
         args.k,
         algorithm=args.algorithm,
         algorithm_params=_algorithm_params(args),
-        incremental=not args.no_incremental,
-        engine=engine if not args.no_incremental else None,
+        engine=engine,
     )
     start = time.perf_counter()
     timelines = tracker.track(tracked)
     elapsed = time.perf_counter() - start
 
     total_queries = sum(len(snapshots) for snapshots in timelines.values())
-    mode = "rebuild-per-checkin" if args.no_incremental else "incremental"
-    print(f"algorithm      : {args.algorithm} (k={args.k}, {mode})")
+    print(f"algorithm      : {args.algorithm} (k={args.k}, incremental)")
     print(f"check-ins      : {len(checkins)} replayed, {total_queries} tracked queries")
     print(f"total time     : {elapsed:.4f}s")
     if elapsed > 0:
         print(f"replay rate    : {len(checkins) / elapsed:.1f} check-ins/s")
-    if tracker.last_engine is not None:
-        stats = tracker.last_engine.stats
-        print(
-            f"engine         : {stats.bundles_patched} bundle patches, "
-            f"{stats.components_materialised} bundles built, "
-            f"{stats.core_decompositions} core decomposition(s)"
-        )
+    stats = tracker.last_engine.stats
+    print(
+        f"engine         : {stats.bundles_patched} bundle patches, "
+        f"{stats.components_materialised} bundles built, "
+        f"{stats.core_decompositions} core decomposition(s)"
+    )
     for user in sorted(timelines):
         snapshots = timelines[user]
         found = [snap for snap in snapshots if snap.found]

@@ -54,6 +54,12 @@ class AppAccState:
     anchors_pruned: int = 0
 
 
+def check_epsilon_a(epsilon_a: float) -> None:
+    """Reject an ``epsilon_a`` outside ``(0, 1)`` (AppAcc's and Exact+'s range)."""
+    if not 0.0 < epsilon_a < 1.0:
+        raise InvalidParameterError(f"epsilon_a must be in (0, 1), got {epsilon_a}")
+
+
 def app_acc(
     graph: SpatialGraph,
     query: int,
@@ -82,8 +88,7 @@ def app_acc(
         Stats record ``delta``, ``gamma``, the number of anchors probed and
         pruned, and the final anchor-cell width.
     """
-    if not 0.0 < epsilon_a < 1.0:
-        raise InvalidParameterError(f"epsilon_a must be in (0, 1), got {epsilon_a}")
+    check_epsilon_a(epsilon_a)
     validate_query(graph, query, k)
     if k == 1:
         members = nearest_neighbor_community(graph, query)

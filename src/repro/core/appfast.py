@@ -31,6 +31,12 @@ from repro.graph.spatial_graph import SpatialGraph
 _ZERO_EPSILON_TOLERANCE = 1e-12
 
 
+def check_epsilon_f(epsilon_f: float) -> None:
+    """Reject a negative ``epsilon_f`` (AppFast's slack)."""
+    if epsilon_f < 0:
+        raise InvalidParameterError(f"epsilon_f must be non-negative, got {epsilon_f}")
+
+
 def app_fast(
     graph: SpatialGraph,
     query: int,
@@ -59,8 +65,7 @@ def app_fast(
         stats record ``delta`` (final feasible query-centred radius),
         ``gamma`` (MCC radius), and ``binary_search_iterations``.
     """
-    if epsilon_f < 0:
-        raise InvalidParameterError(f"epsilon_f must be non-negative, got {epsilon_f}")
+    check_epsilon_f(epsilon_f)
     validate_query(graph, query, k)
     if k == 1:
         members = nearest_neighbor_community(graph, query)

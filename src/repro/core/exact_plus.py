@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Set, Tuple
 
-from repro.core.appacc import AppAccState, run_app_acc
+from repro.core.appacc import AppAccState, check_epsilon_a, run_app_acc
 from repro.core.base import (
     QueryContext,
     nearest_neighbor_community,
@@ -27,7 +27,6 @@ from repro.core.base import (
     validate_query,
 )
 from repro.core.result import SACResult
-from repro.exceptions import InvalidParameterError
 from repro.geometry.mec import (
     circle_from_two_points,
     minimum_covering_circle_of_triple,
@@ -68,8 +67,7 @@ def exact_plus(
         The optimal community Ψ.  Stats record ``fixed_vertex_candidates``
         (|F1|), the number of triples examined, and the AppAcc bookkeeping.
     """
-    if not 0.0 < epsilon_a < 1.0:
-        raise InvalidParameterError(f"epsilon_a must be in (0, 1), got {epsilon_a}")
+    check_epsilon_a(epsilon_a)
     validate_query(graph, query, k)
     if k == 1:
         members = nearest_neighbor_community(graph, query)

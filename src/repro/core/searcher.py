@@ -5,20 +5,20 @@ to internal indices, dispatches to any of the algorithms by name, and can
 return ``None`` instead of raising when a query has no community — the
 behaviour most applications want.
 
-By default the searcher answers queries through a shared
+The searcher answers queries through a shared
 :class:`repro.engine.QueryEngine`, so the per-graph preprocessing (core
 decomposition, k-ĉore component labelling, per-component spatial indexes) is
-paid once and reused across every query.  Results are bit-identical to the
-per-query path; pass ``share_preprocessing=False`` to force the legacy
-behaviour of rebuilding everything per query.
+paid once and reused across every query.  Results are bit-identical to
+calling the algorithm functions directly (``repro.testing.oracles`` keeps
+that engine-free reference for the tests).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
-from repro.core.appacc import app_acc
-from repro.core.appfast import app_fast
+from repro.core.appacc import app_acc, check_epsilon_a
+from repro.core.appfast import app_fast, check_epsilon_f
 from repro.core.appinc import app_inc
 from repro.core.exact import exact
 from repro.core.exact_plus import exact_plus
@@ -40,6 +40,26 @@ ALGORITHMS: Dict[str, Callable] = {
     "appacc": app_acc,
 }
 
+#: Range check of each tunable algorithm parameter, by keyword — the very
+#: function every algorithm taking that keyword calls on entry.
+PARAMETER_CHECKS: Dict[str, Callable[[float], None]] = {
+    "epsilon_a": check_epsilon_a,
+    "epsilon_f": check_epsilon_f,
+}
+
+
+def validate_params(params: Mapping[str, float]) -> None:
+    """Raise :class:`InvalidParameterError` for an out-of-range parameter.
+
+    Lets a batch reject a bad parameter once, before any work, with the
+    same error its algorithm would raise per query.  Names without a range
+    check pass through; the algorithm call rejects unknown keywords.
+    """
+    for name, value in params.items():
+        check = PARAMETER_CHECKS.get(name)
+        if check is not None:
+            check(value)
+
 
 class SACSearcher:
     """Convenience facade for running SAC queries against one graph.
@@ -52,11 +72,6 @@ class SACSearcher:
         Algorithm used when :meth:`search` is called without one.  The paper's
         guidance: ``exact+`` for moderate-size graphs, ``appfast`` or
         ``appacc`` for graphs with millions of vertices.
-    share_preprocessing:
-        When ``True`` (default) queries are served through a cached
-        :class:`repro.engine.QueryEngine`; set to ``False`` to rebuild all
-        per-graph state on every query (the seed behaviour — only useful for
-        benchmarking the engine against it).
 
     Examples
     --------
@@ -70,8 +85,6 @@ class SACSearcher:
         self,
         graph: SpatialGraph,
         default_algorithm: str = "appfast",
-        *,
-        share_preprocessing: bool = True,
     ) -> None:
         if default_algorithm not in ALGORITHMS:
             raise InvalidParameterError(
@@ -79,7 +92,6 @@ class SACSearcher:
             )
         self.graph = graph
         self.default_algorithm = default_algorithm
-        self.share_preprocessing = share_preprocessing
         self._engine: Optional["QueryEngine"] = None
 
     @property
@@ -119,16 +131,11 @@ class SACSearcher:
             Extra algorithm parameters (``epsilon_f`` for AppFast,
             ``epsilon_a`` for AppAcc / Exact+).
         """
-        name = algorithm or self.default_algorithm
-        if name not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            )
         index = self.graph.index_of(query)
         try:
-            if self.share_preprocessing:
-                return self.engine.search(index, k, algorithm=name, **params)
-            return ALGORITHMS[name](self.graph, index, k, **params)
+            return self.engine.search(
+                index, k, algorithm=algorithm or self.default_algorithm, **params
+            )
         except NoCommunityError:
             if missing_ok:
                 return None
@@ -146,39 +153,19 @@ class SACSearcher:
 
         Returns a :class:`repro.extensions.BatchResult` with per-query
         results, the failed queries, and timing that separates the shared
-        preprocessing from the per-query work.  With
-        ``share_preprocessing=False`` each query rebuilds its own state (no
-        sharing even within the batch), honouring the searcher's contract.
+        preprocessing from the per-query work.
         """
-        import time
+        from repro.extensions.batch import BatchSACProcessor
 
-        from repro.extensions.batch import BatchResult, BatchSACProcessor
-
-        name = algorithm or self.default_algorithm
-        if name not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            )
         indices = [self.graph.index_of(label) for label in queries]
-        if self.share_preprocessing:
-            processor = BatchSACProcessor(
-                self.graph,
-                k,
-                algorithm=name,
-                algorithm_params=dict(params),
-                engine=self.engine,
-            )
-            return processor.run(indices)
-
-        start = time.perf_counter()
-        batch = BatchResult()
-        for index in indices:
-            try:
-                batch.results[index] = ALGORITHMS[name](self.graph, index, k, **params)
-            except NoCommunityError:
-                batch.failed.append(index)
-        batch.elapsed_seconds = time.perf_counter() - start
-        return batch
+        processor = BatchSACProcessor(
+            self.graph,
+            k,
+            algorithm=algorithm or self.default_algorithm,
+            algorithm_params=dict(params),
+            engine=self.engine,
+        )
+        return processor.run(indices)
 
     def search_theta(
         self, query: Label, k: int, theta: float, *, missing_ok: bool = True

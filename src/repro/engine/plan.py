@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.base import QueryContext
 from repro.core.result import SACResult
-from repro.core.searcher import ALGORITHMS
+from repro.core.searcher import ALGORITHMS, validate_params
 from repro.exceptions import (
     InvalidParameterError,
     NoCommunityError,
@@ -182,8 +182,9 @@ def plan_batch(
 ) -> BatchPlan:
     """Resolve a batch into a :class:`BatchPlan`.
 
-    Validates ``algorithm`` and ``k`` up front (raising
-    :class:`InvalidParameterError` exactly as the per-query path would),
+    Validates ``algorithm``, the parameter values, and ``k`` up front
+    (raising :class:`InvalidParameterError` exactly as a single query
+    would, but once for the whole batch),
     classifies every occurrence, groups the distinct eligible queries by
     k-ĉore component, and — when an :class:`repro.service.AnswerCache` is
     supplied — prunes cache hits per group through its group-level lookup.
@@ -195,6 +196,7 @@ def plan_batch(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         )
     params = dict(params or {})
+    validate_params(params)
     start = perf_counter()
     labels, _ = engine.component_labels(k)  # validates k
     plan = BatchPlan(k=int(k), algorithm=algorithm, params=params)

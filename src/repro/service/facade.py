@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.result import SACResult
-from repro.core.searcher import ALGORITHMS
+from repro.core.searcher import validate_params
 from repro.engine import EngineStats, IncrementalEngine, QueryEngine
 from repro.engine.plan import execute_group, plan_batch
 from repro.exceptions import InvalidParameterError
@@ -73,16 +73,6 @@ class SACService:
     use_cache / cache_capacity:
         Whether to keep an :class:`~repro.service.cache.AnswerCache`, and its
         LRU capacity.
-    use_shared_memory:
-        Forwarded to :class:`~repro.service.sharding.ShardedExecutor`:
-        publish shard artifacts once into shared-memory segments (default)
-        instead of re-pickling them every batch.
-    use_plan:
-        Resolve each batch into a :class:`repro.engine.plan.BatchPlan`
-        before executing (the default): duplicates answered once, cache
-        lookups and fills done group-at-a-time, the serial path factorised
-        per component.  ``False`` (the CLI's ``--no-plan``) restores the
-        pre-plan per-query pipeline; answers are bit-identical either way.
     pool_factory:
         Forwarded to :class:`~repro.service.sharding.ShardedExecutor`.
     clock:
@@ -109,26 +99,19 @@ class SACService:
         workers: Optional[int] = None,
         use_cache: bool = True,
         cache_capacity: int = 4096,
-        use_shared_memory: bool = True,
-        use_plan: bool = True,
         pool_factory: Callable[[int], object] = default_pool_factory,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if (graph is None) == (engine is None):
             raise InvalidParameterError("pass exactly one of graph or engine")
         self.engine = engine if engine is not None else QueryEngine(graph)
-        self.use_plan = bool(use_plan)
         self._clock: Callable[[], float] = clock or perf_counter
         #: Path of the snapshot this service was opened from (set by
         #: :meth:`open`, ``None`` otherwise) — the replication tier resyncs
         #: a lagging replica by reopening it.
         self.store_path: Optional[str] = None
         self.executor = ShardedExecutor(
-            self.engine,
-            workers=workers,
-            use_shared_memory=use_shared_memory,
-            use_plan=use_plan,
-            pool_factory=pool_factory,
+            self.engine, workers=workers, pool_factory=pool_factory
         )
         self.cache: Optional[AnswerCache] = (
             AnswerCache(cache_capacity) if use_cache else None
@@ -177,8 +160,6 @@ class SACService:
         workers: Optional[int] = None,
         use_cache: bool = True,
         cache_capacity: int = 4096,
-        use_shared_memory: bool = True,
-        use_plan: bool = True,
         pool_factory: Callable[[int], object] = default_pool_factory,
         clock: Optional[Callable[[], float]] = None,
         max_resident_bytes: Optional[int] = None,
@@ -202,8 +183,6 @@ class SACService:
             workers=workers,
             use_cache=use_cache,
             cache_capacity=cache_capacity,
-            use_shared_memory=use_shared_memory,
-            use_plan=use_plan,
             pool_factory=pool_factory,
             clock=clock,
         )
@@ -277,18 +256,14 @@ class SACService:
         deadline_ms: Optional[float] = None,
         **params: float,
     ) -> BatchResult:
-        """Answer a batch: cache hits first, the rest sharded to the executor.
+        """Answer a batch: plan it, execute the surviving groups, fill the cache.
 
-        Cache hits are merged with the executor's freshly computed answers
-        (which are stored back into the cache) into one
-        :class:`BatchResult`; ``cache_hits`` counts the queries that never
-        reached the executor.
-
-        With ``use_plan`` (the default) the whole pipeline is driven by one
+        The whole pipeline is driven by one
         :class:`repro.engine.plan.BatchPlan`: duplicates and cache hits are
         resolved at plan time (group-level lookups), the executor runs only
         the surviving groups, and freshly computed answers are stored back
-        group-at-a-time.
+        group-at-a-time.  ``cache_hits`` counts the occurrences that never
+        reached the executor.
 
         With ``deadline_ms`` set, the batch runs in **SLO mode**:
         ``algorithm`` becomes the quality *ceiling* and each plan group is
@@ -301,56 +276,16 @@ class SACService:
         ``deadline_ms=None`` (the default) leaves this path entirely — the
         explicit-algorithm pipeline is untouched and bit-identical to
         before.
+
+        An unknown algorithm or an out-of-range parameter value raises
+        :class:`~repro.exceptions.InvalidParameterError` before any work,
+        whatever the deadline — even one for a rung the deadline would
+        not pick.
         """
-        if algorithm not in ALGORITHMS:
-            raise InvalidParameterError(
-                f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-            )
         if deadline_ms is not None:
             return self._submit_batch_slo(
                 queries, k, algorithm, dict(params), float(deadline_ms)
             )
-        if self.use_plan:
-            return self._submit_batch_planned(queries, k, algorithm, params)
-        if self.cache is None:
-            return self.executor.run(queries, k, algorithm=algorithm, **params)
-
-        start = self._clock()
-        hits: Dict[int, SACResult] = {}
-        misses: List[int] = []
-        hit_count = 0
-        for query in queries:
-            query = int(query)
-            if query in hits:
-                hit_count += 1
-                continue
-            cached = self.cache.lookup(self.engine, query, k, algorithm, params)
-            if cached is not None:
-                hits[query] = cached
-                hit_count += 1
-            else:
-                misses.append(query)
-
-        if misses:
-            batch = self.executor.run(misses, k, algorithm=algorithm, **params)
-            for query, result in batch.results.items():
-                self.cache.store(self.engine, query, k, algorithm, params, result)
-        else:
-            # Fully cache-served round: nothing to shard, nothing to execute.
-            batch = BatchResult()
-        batch.results.update(hits)
-        batch.cache_hits = hit_count
-        batch.elapsed_seconds = self._clock() - start
-        return batch
-
-    def _submit_batch_planned(
-        self,
-        queries: Sequence[int],
-        k: int,
-        algorithm: str,
-        params: Dict[str, float],
-    ) -> BatchResult:
-        """The plan-driven batch pipeline: plan -> execute groups -> fill cache."""
         start = self._clock()
         plan = plan_batch(
             self.engine, queries, k, algorithm=algorithm, params=params, cache=self.cache
@@ -399,6 +334,11 @@ class SACService:
         a mispredicting (even adversarially lying) model degrades to
         honest flags rather than hangs.
         """
+        # A bad ceiling or parameter value fails the same way whatever rung
+        # the deadline would buy, and before calibration — the costliest
+        # step of a first request.
+        ladder_from(ceiling)
+        validate_params(params)
         # Warm-up calibration is a one-time cost of the service, not of the
         # request that happened to arrive first — fit before the clock starts.
         self.calibrate_slo(k)

@@ -29,10 +29,10 @@ class BatchResult:
         occurrence in the submitted batch).
     errors:
         Mapping query vertex -> error message for queries that could not be
-        *attempted* — an unknown vertex index, an invalid per-query
-        parameter.  Distinct from ``failed`` (a valid query whose answer is
-        "no community"); before this field existed such queries were silently
-        folded into ``failed``.
+        *attempted*: an unknown vertex index.  Distinct from ``failed`` (a
+        valid query whose answer is "no community").  Batch-wide mistakes —
+        an unknown algorithm, an out-of-range parameter, an invalid ``k`` —
+        raise instead, before any query runs.
     elapsed_seconds:
         Total wall-clock time of the batch, including the shared
         preprocessing.
@@ -44,10 +44,10 @@ class BatchResult:
     deduped:
         Occurrences answered by fanning out another occurrence's result —
         duplicate ``(query, k, algorithm, params)`` entries the batch plan
-        resolved without recomputing (0 on the ``--no-plan`` path).
+        resolved without recomputing.
     plan_groups:
         ``(component, k)`` execution groups the batch plan produced after
-        cache-hit pruning (0 on the ``--no-plan`` path).
+        cache-hit pruning.
     deadline_ms:
         The deadline budget the batch ran under, or ``None`` when it ran on
         the explicit-algorithm path (no SLO ladder engaged).

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets.geosocial import CheckinGenerator, TravelProfile
+from repro.dynamic import LocationStream, select_mobile_queries
 from repro.graph.io import load_graph_npz
+from repro.testing import oracles
 
 
 @pytest.fixture
@@ -223,7 +226,6 @@ class TestTrack:
         parser = build_parser()
         args = parser.parse_args(["track", "g.npz"])
         assert args.algorithm == "appfast"
-        assert not args.no_incremental
 
     def test_track_incremental_replay(self, graph_file, capsys):
         assert main(["track", str(graph_file), *self.TRACK_ARGS]) == 0
@@ -232,17 +234,40 @@ class TestTrack:
         assert "check-ins" in output
         assert "bundle patches" in output
 
-    def test_track_rebuild_matches_incremental(self, graph_file, capsys):
-        assert main(["track", str(graph_file), *self.TRACK_ARGS]) == 0
-        incremental_output = capsys.readouterr().out
-        assert main(["track", str(graph_file), *self.TRACK_ARGS, "--no-incremental"]) == 0
-        rebuild_output = capsys.readouterr().out
-        assert "rebuild-per-checkin" in rebuild_output
-        # The per-user timeline lines (everything after the header block) must
-        # agree between the two replay modes.
-        tail = lambda text: [line for line in text.splitlines() if line.startswith("  user")]
-        assert tail(incremental_output) == tail(rebuild_output)
-        assert tail(incremental_output)
+    def test_track_rebuild_matches_incremental(self, graph_file, tmp_path, capsys):
+        """The CLI's timelines equal the rebuild-per-check-in oracle's."""
+        graph = load_graph_npz(graph_file)
+        generator = CheckinGenerator(graph, TravelProfile(), seed=13)
+        checkins = generator.generate(list(range(120)), checkins_per_user=4)
+        travel = generator.total_travel_distance(checkins)
+        users = select_mobile_queries(graph, checkins, travel, count=3, min_friends=4)
+        assert users
+        stream = tmp_path / "checkins.txt"
+        stream.write_text(
+            "".join(
+                f"{graph.label_of(c.user)} {c.timestamp!r} {c.x!r} {c.y!r}\n"
+                for c in checkins
+            )
+        )
+        labels = ",".join(str(graph.label_of(user)) for user in users)
+        assert (
+            main(["track", str(graph_file), "--checkins", str(stream),
+                  "--users", labels, "--k", "3"]) == 0
+        )
+        printed = {
+            line.split(":")[0].split()[-1]: line.rsplit("(sizes: ", 1)[1].rstrip(")")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  user")
+        }
+        timelines = oracles.track_rebuild(
+            LocationStream(graph, checkins), users, 3, algorithm_params={"epsilon_f": 0.5}
+        )
+        expected = {
+            str(graph.label_of(user)): ", ".join(str(len(s.members)) for s in snapshots)
+            or "-"
+            for user, snapshots in timelines.items()
+        }
+        assert printed == expected
 
     def test_track_checkin_file_users_are_labels(self, graph_file, tmp_path, capsys):
         graph = load_graph_npz(graph_file)

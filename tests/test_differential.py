@@ -8,10 +8,12 @@ hypothesis through the shared :mod:`repro.testing.strategies` generators:
   a lower bound for every algorithm, ``AppInc``/``AppFast(εF)``/``AppAcc(εA)``
   stay within their ``2`` / ``2 + εF`` / ``1 + εA`` factors, and ``Exact+``
   matches ``Exact`` to its ``1 + εA`` tolerance.
-* **Execution-path parity** — serial engine, sharded process-pool execution,
-  and the answer-cached service must return *bit-identical* results (same
-  member sets, same circle floats, same stats), including after incremental
-  location and edge updates interleave with cached queries.
+* **Execution-path parity** — the per-query oracle
+  (:func:`repro.testing.oracles.search_many`), sharded process-pool
+  execution, and the answer-cached service must return *bit-identical*
+  results (same member sets, same circle floats, same stats), including
+  after incremental location and edge updates interleave with cached
+  queries.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.core.searcher import ALGORITHMS
 from repro.engine import IncrementalEngine, QueryEngine
 from repro.exceptions import NoCommunityError
 from repro.service import SACService, ShardedExecutor
+from repro.testing import oracles
 from repro.testing.strategies import random_spatial_graph
 
 #: Approximation-factor bound of each algorithm, as a function of its params.
@@ -53,13 +56,6 @@ def _assert_identical(first, second, context=()):
     assert first.circle.center.x == second.circle.center.x, context
     assert first.circle.center.y == second.circle.center.y, context
     assert first.stats == second.stats, context
-
-
-def _search_or_none(engine, query, k, algorithm, params):
-    try:
-        return engine.search(query, k, algorithm=algorithm, **params)
-    except NoCommunityError:
-        return None
 
 
 class TestApproximationInvariants:
@@ -125,7 +121,7 @@ class TestApproximationInvariants:
 
 
 class TestExecutionPathParity:
-    """Serial engine == sharded pool == answer-cached service, bitwise."""
+    """Per-query oracle == sharded pool == answer-cached service, bitwise."""
 
     @settings(
         max_examples=8,
@@ -140,11 +136,9 @@ class TestExecutionPathParity:
         k = int(rng.integers(2, 4))
         queries = [int(q) for q in rng.choice(n, size=min(12, n), replace=False)]
 
-        serial_engine = QueryEngine(graph)
-        serial = {
-            q: _search_or_none(serial_engine, q, k, "appfast", {"epsilon_f": 0.5})
-            for q in queries
-        }
+        serial = oracles.search_many(
+            QueryEngine(graph), queries, k, algorithm="appfast", epsilon_f=0.5
+        )
 
         executor = ShardedExecutor(QueryEngine(graph), workers=2)
         sharded = executor.run(queries, k, algorithm="appfast", epsilon_f=0.5)
@@ -188,11 +182,10 @@ class TestExecutionPathParity:
                         )
                     except NoCommunityError:
                         served = None
-                    _assert_identical(
-                        served,
-                        _search_or_none(fresh, query, k, "appfast", {"epsilon_f": 0.5}),
-                        (seed, k, query),
-                    )
+                    expected = oracles.search_many(
+                        fresh, [query], k, algorithm="appfast", epsilon_f=0.5
+                    )[query]
+                    _assert_identical(served, expected, (seed, k, query))
 
         compare()  # populate the cache so mutations have answers to evict
         for _ in range(8):

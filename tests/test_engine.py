@@ -10,6 +10,7 @@ from repro.exceptions import InvalidParameterError, NoCommunityError
 from repro.experiments.queries import select_query_vertices
 from repro.extensions.batch import BatchSACProcessor
 from repro.kcore.decomposition import core_numbers
+from repro.testing import oracles
 
 ALGORITHM_PARAMS = {
     "exact": {},
@@ -134,10 +135,10 @@ class TestSearcherIntegration:
     def test_engine_and_legacy_paths_agree(self, medium_graph, medium_queries):
         label = medium_graph.label_of(medium_queries[0])
         shared = SACSearcher(medium_graph, default_algorithm="appfast")
-        legacy = SACSearcher(
-            medium_graph, default_algorithm="appfast", share_preprocessing=False
+        _assert_identical(
+            oracles.search(medium_graph, medium_queries[0], 4, algorithm="appfast"),
+            shared.search(label, 4),
         )
-        _assert_identical(legacy.search(label, 4), shared.search(label, 4))
         assert shared.engine.stats.queries_served == 1
 
     def test_search_batch(self, medium_graph, medium_queries):
@@ -147,7 +148,9 @@ class TestSearcherIntegration:
         assert batch.answered == len(medium_queries)
         for query in medium_queries:
             _assert_identical(
-                ALGORITHMS["appfast"](medium_graph, query, 4, epsilon_f=0.5),
+                oracles.search(
+                    medium_graph, query, 4, algorithm="appfast", epsilon_f=0.5
+                ),
                 batch.results[query],
             )
 

@@ -24,6 +24,7 @@ from repro.geometry.grid import GridIndex
 from repro.graph.builder import GraphBuilder
 from repro.kcore.decomposition import core_numbers
 from repro.kcore.maintenance import demote_after_delete, promote_after_insert
+from repro.testing import oracles
 from repro.testing.strategies import random_spatial_graph as _random_graph
 
 
@@ -319,13 +320,15 @@ class TestTrackerParity:
         return graph, checkins, queries
 
     def _track(self, workload, incremental):
+        """Replay through :class:`SACTracker`, or the rebuild oracle."""
         graph, checkins, queries = workload
+        stream = LocationStream(graph, checkins)
+        if not incremental:
+            return None, oracles.track_rebuild(
+                stream, queries, 3, algorithm="appfast", algorithm_params={"epsilon_f": 0.5}
+            )
         tracker = SACTracker(
-            LocationStream(graph, checkins),
-            k=3,
-            algorithm="appfast",
-            algorithm_params={"epsilon_f": 0.5},
-            incremental=incremental,
+            stream, k=3, algorithm="appfast", algorithm_params={"epsilon_f": 0.5}
         )
         return tracker, tracker.track(queries)
 

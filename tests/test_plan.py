@@ -9,8 +9,9 @@ Two halves, mirroring the two promises of :mod:`repro.engine.plan`:
   vertices classified per occurrence.
 * **Execution parity** — hypothesis properties asserting the factorised
   pipeline returns answers *bit-identical* (member sets, circle floats,
-  stats) to the per-query serial path, across the serial engine, the
-  sharded executor, and the answer-cached service, including while
+  stats) to the per-query oracle (:func:`repro.testing.oracles.search_many`),
+  across the serial engine, the sharded executor, and the answer-cached
+  service, including while
   incremental check-ins and edge flips interleave with planned batches.
 """
 
@@ -25,6 +26,7 @@ from repro.engine.plan import plan_batch
 from repro.exceptions import VertexNotFoundError
 from repro.graph.builder import GraphBuilder
 from repro.service import SACService
+from repro.testing import oracles
 from repro.testing.strategies import random_spatial_graph
 
 
@@ -108,7 +110,7 @@ class TestPlanShape:
         queries = distinct * 3
 
         fanned = engine.search_many(queries, 2)
-        serial = engine.search_many(distinct, 2, plan=False)
+        serial = oracles.search_many(engine, distinct, 2)
 
         assert set(fanned) == set(distinct)
         for query in distinct:
@@ -199,8 +201,8 @@ class TestFactorisedParity:
 
         engine = QueryEngine(graph)
         planned = engine.search_many(queries, k, algorithm="appfast", epsilon_f=0.5)
-        serial = engine.search_many(
-            queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
+        serial = oracles.search_many(
+            engine, queries, k, algorithm="appfast", epsilon_f=0.5
         )
 
         assert set(planned) == set(serial)
@@ -227,12 +229,11 @@ class TestFactorisedParity:
         queries = [int(q) for q in rng.choice(n, size=min(12, n), replace=False)]
         queries = queries + queries[: len(queries) // 2]
 
-        serial = QueryEngine(graph).search_many(
-            queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
+        serial = oracles.search_many(
+            QueryEngine(graph), queries, k, algorithm="appfast", epsilon_f=0.5
         )
         sharded = SACService(graph, workers=2, use_cache=False)
         cached = SACService(graph)
-        unplanned = SACService(graph, use_plan=False)
         try:
             sharded_batch = sharded.submit_batch(
                 queries, k, algorithm="appfast", epsilon_f=0.5
@@ -243,22 +244,15 @@ class TestFactorisedParity:
             cached_warm = cached.submit_batch(
                 queries, k, algorithm="appfast", epsilon_f=0.5
             )
-            unplanned_batch = unplanned.submit_batch(
-                queries, k, algorithm="appfast", epsilon_f=0.5
-            )
         finally:
             sharded.close()
             cached.close()
-            unplanned.close()
 
         for query in serial:
             context = (seed, k, query)
             _assert_identical(serial[query], sharded_batch.results.get(query), context)
             _assert_identical(serial[query], cached_cold.results.get(query), context)
             _assert_identical(serial[query], cached_warm.results.get(query), context)
-            _assert_identical(
-                serial[query], unplanned_batch.results.get(query), context
-            )
         # Warm round: every occurrence of an answered query is a cache hit.
         assert cached_warm.cache_hits == sum(
             1 for q in queries if serial[q] is not None
@@ -285,8 +279,8 @@ class TestFactorisedParity:
                 batch = service.submit_batch(
                     queries, k, algorithm="appfast", epsilon_f=0.5
                 )
-                serial = fresh.search_many(
-                    queries, k, algorithm="appfast", plan=False, epsilon_f=0.5
+                serial = oracles.search_many(
+                    fresh, queries, k, algorithm="appfast", epsilon_f=0.5
                 )
                 for query in serial:
                     _assert_identical(

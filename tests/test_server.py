@@ -217,6 +217,22 @@ class TestBatchEndpoint:
             client.batch([], K)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("deadline_ms", [None, 1e7, 0.001])
+    def test_out_of_range_parameter_is_a_400_whatever_the_deadline(
+        self, client, reference, deadline_ms
+    ):
+        labels = _eligible_labels(reference, 2)
+        with pytest.raises(ServerError) as excinfo:
+            client.batch(
+                labels,
+                K,
+                algorithm="exact+",
+                deadline_ms=deadline_ms,
+                params={"epsilon_a": 2.0},
+            )
+        assert excinfo.value.status == 400
+        assert "epsilon_a" in excinfo.value.message
+
 
 class TestProtocolRobustness:
     def _raw(self, server, payload: bytes) -> bytes:

@@ -14,11 +14,13 @@ import pytest
 from repro.core.searcher import ALGORITHMS
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import IncrementalEngine, QueryEngine
+from repro.engine.plan import plan_batch
 from repro.exceptions import InvalidParameterError, NoCommunityError, VertexNotFoundError
 from repro.experiments.queries import select_query_vertices
 from repro.extensions.batch import BatchSACProcessor
 from repro.service import AnswerCache, SACService, ShardedExecutor
-from repro.service.sharding import _run_shard
+from repro.store import SharedArrayPack
+from repro.testing.serverharness import shm_segments
 from repro.testing.strategies import random_spatial_graph
 
 
@@ -91,11 +93,11 @@ class TestShardedExecutor:
         labels, _ = executor.engine.component_labels(4)
         component = int(labels[queries[0]])
         same_component = [q for q in queries if int(labels[q]) == component]
-        payloads = executor.payloads({component: same_component}, 4, "appfast", {})
-        assert len(payloads) == min(4, len(same_component))
-        assert sorted(q for p in payloads for q in p.queries) == sorted(same_component)
-        for payload in payloads:
-            assert payload.members is payloads[0].members  # same shared arrays
+        plan = plan_batch(executor.engine, same_component, 4)
+        chunks = executor._shard_chunks(plan)
+        assert len(chunks) == min(4, len(same_component))
+        assert {chunk_component for chunk_component, _ in chunks} == {component}
+        assert sorted(q for _, chunk in chunks for q in chunk) == sorted(same_component)
 
     def test_deterministic_worker_error_propagates_not_falls_back(self, graph, queries):
         executor = ShardedExecutor(QueryEngine(graph), workers=2)
@@ -113,20 +115,6 @@ class TestShardedExecutor:
         executor.close()
         assert executor._pool is None
 
-    def test_run_shard_worker_is_deterministic(self, graph, queries):
-        """The worker entry point itself, run in-process, matches the engine."""
-        engine = QueryEngine(graph)
-        executor = ShardedExecutor(engine, workers=2)
-        labels, _ = engine.component_labels(4)
-        shards = {}
-        for q in queries:
-            shards.setdefault(int(labels[q]), []).append(q)
-        for payload in executor.payloads(shards, 4, "appfast", {"epsilon_f": 0.5}):
-            for query, result in _run_shard(payload):
-                _assert_identical(
-                    engine.search(query, 4, algorithm="appfast", epsilon_f=0.5), result
-                )
-
     def test_worker_crash_falls_back_to_serial(self, graph, queries):
         _ExplodingPool.calls = 0
         executor = ShardedExecutor(
@@ -137,6 +125,31 @@ class TestShardedExecutor:
         assert executor.stats.serial_fallbacks == 1
         assert executor.stats.batches_parallel == 0
         reference = QueryEngine(graph)
+        for q in queries:
+            _assert_identical(
+                reference.search(q, 4, algorithm="appfast", epsilon_f=0.5),
+                batch.results[q],
+            )
+
+    def test_unpublishable_segment_falls_back_to_serial(
+        self, graph, queries, monkeypatch
+    ):
+        def refuse(cls, arrays):
+            raise OSError("shared memory exhausted")
+
+        monkeypatch.setattr(SharedArrayPack, "create", classmethod(refuse))
+        before = shm_segments()
+        executor = ShardedExecutor(QueryEngine(graph), workers=2)
+        try:
+            batch = executor.run(queries, 4, algorithm="appfast", epsilon_f=0.5)
+        finally:
+            executor.close()
+        assert executor.stats.serial_fallbacks == 1
+        assert executor.stats.batches_parallel == 0
+        assert executor.stats.segments_created == 0
+        assert shm_segments() - before == set()
+        reference = QueryEngine(graph)
+        assert set(batch.results) == set(queries)
         for q in queries:
             _assert_identical(
                 reference.search(q, 4, algorithm="appfast", epsilon_f=0.5),
@@ -388,6 +401,23 @@ class TestSearchManyErrorSurfacing:
         engine = QueryEngine(graph)
         with pytest.raises(InvalidParameterError):
             engine.search_many(queries, 4, algorithm="bogus", errors={})
+
+    def test_invalid_k_is_recorded_against_every_query(self, graph, queries):
+        engine = QueryEngine(graph)
+        batch = list(queries[:3]) + [graph.num_vertices + 3]
+        errors = {}
+        results = engine.search_many(batch, 0, errors=errors)
+        assert results == {q: None for q in batch}
+        assert set(errors) == set(batch)
+        for message in errors.values():
+            assert "k must be a positive integer" in message
+        with pytest.raises(InvalidParameterError, match="k must be a positive integer"):
+            engine.search_many(batch, 0)
+
+    def test_bad_parameter_raises_even_with_errors_dict(self, graph, queries):
+        engine = QueryEngine(graph)
+        with pytest.raises(InvalidParameterError, match="epsilon_f"):
+            engine.search_many(queries, 4, algorithm="appfast", epsilon_f=-1.0, errors={})
 
 
 class TestEngineInvalidationCounters:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.geosocial import brightkite_like
 from repro.engine import QueryEngine
+from repro.exceptions import InvalidParameterError
 from repro.service import SACService
 from repro.service.slo import (
     DEFAULT_CEILING,
@@ -219,6 +220,40 @@ class TestOptOutIdentity:
         served = service.search(query, 2, algorithm="appfast", epsilon_f=0.5)
         expected = reference.search(query, 2, algorithm="appfast", epsilon_f=0.5)
         _assert_identical(expected, served)
+
+
+class TestParameterValidation:
+    """A bad parameter is an error whatever the deadline, before any work."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        graph = brightkite_like(num_vertices=300, seed=7)
+        cores = QueryEngine(graph).core_numbers()
+        queries = [int(q) for q in np.flatnonzero(cores >= 4)[:2]]
+        assert len(queries) == 2
+        return graph, queries
+
+    @pytest.mark.parametrize("deadline_ms", [None, 1e7, 0.001])
+    def test_bad_parameter_raises_for_every_deadline(self, setup, deadline_ms):
+        graph, queries = setup
+        service = SACService(graph)
+        with pytest.raises(InvalidParameterError, match=r"epsilon_a must be in \(0, 1\)"):
+            service.submit_batch(
+                queries, 4, algorithm="exact+", epsilon_a=2.0, deadline_ms=deadline_ms
+            )
+        # Rejected before calibration and before any query ran.
+        assert service.slo_model.stats.calibrations == 0
+        assert service.engine.stats.queries_served == 0
+
+    def test_parameter_of_a_lower_rung_is_checked(self, setup):
+        graph, queries = setup
+        service = SACService(graph)
+        with pytest.raises(InvalidParameterError, match="epsilon_f"):
+            service.submit_batch(
+                queries, 4, algorithm="exact+", epsilon_f=-1.0, deadline_ms=1e7
+            )
+        with pytest.raises(InvalidParameterError, match="epsilon_a"):
+            service.search(queries[0], 4, algorithm="exact+", epsilon_a=2.0, deadline_ms=1e7)
 
 
 # --------------------------------------------------------------------- model
